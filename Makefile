@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check purego noasm crossarm fuzz-smoke chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd clean
+.PHONY: all build test race vet check purego noasm crossarm fuzz-smoke chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke perfbench-check fpcd clean
 
 all: check
 
@@ -114,6 +114,13 @@ bench-transforms:
 bench-smoke:
 	$(GO) test ./internal/transforms/... -run '^$$' -bench . -benchtime 1x
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
+
+# Vets and tests the outside-in benchmark (perfbench/), a separate Go
+# module that neither `go build ./...` nor `make check` compiles: an
+# internal-API change that breaks the benchmark fails here. The tests
+# include a traced and an untraced smoke run of every workload.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Cross-checks the purego build tag: every unsafe word-view falls back to
 # the byte-accessor reference paths and the fused kernels to their

@@ -202,14 +202,14 @@ func BenchmarkTransforms(b *testing.B) {
 		b.Run(c.tr.Name()+"/Forward", func(b *testing.B) {
 			b.SetBytes(int64(len(c.data)))
 			for i := 0; i < b.N; i++ {
-				c.tr.Forward(c.data)
+				c.tr.ForwardInto(nil, c.data)
 			}
 		})
-		enc := c.tr.Forward(c.data)
+		enc := c.tr.ForwardInto(nil, c.data)
 		b.Run(c.tr.Name()+"/Inverse", func(b *testing.B) {
 			b.SetBytes(int64(len(c.data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.tr.Inverse(enc); err != nil {
+				if _, err := c.tr.InverseInto(nil, enc, transforms.NoLimit); err != nil {
 					b.Fatal(err)
 				}
 			}

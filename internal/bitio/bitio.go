@@ -171,9 +171,6 @@ func (r *Reader) Rest() []byte {
 	return r.buf[r.pos/8:]
 }
 
-// BitPos returns the current bit offset.
-func (r *Reader) BitPos() int { return int(r.pos) }
-
 // PackWidth64 packs each value's low `width` bits contiguously and returns
 // the byte slice (padded to a byte boundary). width may be 0, in which case
 // an empty slice is returned.

@@ -1020,20 +1020,15 @@ func (h *Header) ChunkPayload(i int) ([]byte, bool, error) {
 	return h.payload[h.offsets[i]:h.offsets[i+1]], h.entries[i]&1 == 0, nil
 }
 
-// DecompressChunk decodes a single chunk of a parsed container, enabling
-// random access without touching the rest of the block (each chunk is
-// independent by construction). The chunk's decoded bytes cover
+// DecompressChunkLimit decodes a single chunk of a parsed container,
+// enabling random access without touching the rest of the block (each
+// chunk is independent by construction). The chunk's decoded bytes cover
 // [i*ChunkSize, min((i+1)*ChunkSize, OriginalLen)) of the original data.
 // No whole-data checksum can be verified on a single chunk; callers
-// needing end-to-end integrity should use Decompress.
-func (h *Header) DecompressChunk(i int, codec Codec) ([]byte, error) {
-	return h.DecompressChunkLimit(i, codec, DefaultMaxDecoded)
-}
-
-// DecompressChunkLimit is DecompressChunk with an explicit decode budget:
-// a chunk whose decoded span exceeds maxDecoded bytes is refused before
-// any allocation (maxDecoded < 0 means no bound). O(1) chunk lookup via
-// the offsets cached in Parse.
+// needing end-to-end integrity should use Decompress. A chunk whose
+// decoded span exceeds maxDecoded bytes is refused before any allocation
+// (maxDecoded < 0 means no bound). O(1) chunk lookup via the offsets
+// cached in Parse.
 func (h *Header) DecompressChunkLimit(i int, codec Codec, maxDecoded int) ([]byte, error) {
 	if i < 0 || i >= h.ChunkCount {
 		return nil, fmt.Errorf("%w: chunk %d of %d", ErrFormat, i, h.ChunkCount)

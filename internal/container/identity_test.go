@@ -44,6 +44,18 @@ func legacyCompress(src []byte, algID byte, codec Codec, p Params) []byte {
 	return Assemble(algID, crc32.Checksum(src, crcTable), len(src), cs, sizes, rawFlags, payload)
 }
 
+// pipelineCodec runs a transforms.Pipeline through the engine's
+// append-into (IntoCodec) path.
+type pipelineCodec struct{ transforms.Pipeline }
+
+func (c pipelineCodec) Forward(chunk []byte) []byte { return c.ForwardInto(nil, chunk) }
+func (c pipelineCodec) Inverse(enc []byte) ([]byte, error) {
+	return c.InverseInto(nil, enc, transforms.NoLimit)
+}
+func (c pipelineCodec) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
+	return c.InverseInto(nil, enc, maxDecoded)
+}
+
 // identityInputs builds the edge-case corpus: empty, single byte, exact
 // chunk multiples and off-by-ones, incompressible noise (all-raw), all
 // zeros, smooth float-like data, and a mix alternating compressible and
@@ -97,15 +109,15 @@ func TestCompressByteIdentity(t *testing.T) {
 	codecs := map[string]Codec{
 		"shrink": shrinkCodec{},
 		"xor":    xorCodec{},
-		"spspeed": transforms.Pipeline{
+		"spspeed": pipelineCodec{transforms.Pipeline{
 			transforms.DiffMS{Word: wordio.W32},
 			transforms.MPLG{Word: wordio.W32},
-		},
-		"dpratio-chunked": transforms.Pipeline{
+		}},
+		"dpratio-chunked": pipelineCodec{transforms.Pipeline{
 			transforms.DiffMS{Word: wordio.W64},
 			transforms.RAZE{},
 			transforms.RARE{},
-		},
+		}},
 	}
 	for _, cs := range []int{777, 1024, DefaultChunkSize} {
 		for cname, codec := range codecs {

@@ -33,7 +33,6 @@ import (
 	"fpcompress/internal/container"
 	"fpcompress/internal/selector"
 	"fpcompress/internal/transforms"
-	"fpcompress/internal/transforms/fused"
 	"fpcompress/internal/wordio"
 )
 
@@ -117,6 +116,9 @@ type Algorithm struct {
 	// cross-chunk state resets at chunk boundaries, the container records
 	// the v4 windowed flag, and decode requires the flag to match.
 	Windowed bool
+	// codec is the scheme-table codec New and NewWindowed route chunks
+	// through; nil runs Chunked stage by stage.
+	codec transforms.Transform
 }
 
 // Name returns the paper's name for the algorithm, with a "-w" suffix for
@@ -147,19 +149,18 @@ func (a *Algorithm) Stages() []string {
 
 // ChunkCodec returns the container codec this algorithm encodes and
 // decodes chunks with: the per-chunk selector for the auto modes, the
-// fixed chunk pipeline otherwise — run through its fused single-pass
-// kernel when one exists (byte-identical to the stage-by-stage pipeline,
-// so the container format is unaffected). Random access uses it to decode
-// single chunks of any non-pre-stage algorithm.
+// scheme-table codec of the fixed algorithms otherwise — their fused
+// single-pass kernel where one exists (byte-identical to the
+// stage-by-stage pipeline, so the container format is unaffected). Random
+// access uses it to decode single chunks of any non-pre-stage algorithm.
 func (a *Algorithm) ChunkCodec() container.Codec {
 	if a.Select != nil {
 		return a.Select
 	}
-	cc := chunkCodec{p: a.Chunked}
-	if k, ok := fused.Match(a.Chunked); ok {
-		cc.k = k
+	if a.codec == nil {
+		return chunkCodec{a.Chunked}
 	}
-	return cc
+	return chunkCodec{a.codec}
 }
 
 // Compress encodes src into a self-describing container.
@@ -312,114 +313,46 @@ func (a *Algorithm) DecompressPartialAppend(dst, data []byte, p container.Params
 	return out, rep, nil
 }
 
-// chunkCodec adapts a transform pipeline to the container.IntoCodec
+// chunkCodec adapts a chunk transform to the container.IntoCodec
 // interface, so the engine can hand each chunk its exact decoded size as
 // an allocation bound and encode/decode chunks without per-chunk buffers.
-// When the pipeline matches a known fusion, k carries the fused
-// single-pass kernel and every call routes through it (the kernel itself
-// falls back to the stage-by-stage pipeline on misaligned buffers or
-// purego builds).
-type chunkCodec struct {
-	p transforms.Pipeline
-	k fused.Kernel
-}
+type chunkCodec struct{ transforms.Transform }
 
 func (c chunkCodec) Forward(chunk []byte) []byte { return c.ForwardInto(nil, chunk) }
-func (c chunkCodec) ForwardInto(dst, chunk []byte) []byte {
-	if c.k != nil {
-		return c.k.ForwardInto(dst, chunk)
-	}
-	return c.p.ForwardInto(dst, chunk)
-}
 func (c chunkCodec) Inverse(enc []byte) ([]byte, error) {
 	return c.InverseInto(nil, enc, transforms.NoLimit)
 }
 func (c chunkCodec) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 	return c.InverseInto(nil, enc, maxDecoded)
 }
-func (c chunkCodec) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	if c.k != nil {
-		return c.k.InverseInto(dst, enc, maxDecoded)
-	}
-	return c.p.InverseInto(dst, enc, maxDecoded)
-}
 
-// New constructs the named algorithm.
+// New constructs the named algorithm. A fixed algorithm's ID equals the
+// selector scheme byte of its chunk pipeline, so its stages and codec come
+// from that scheme-table row; DPratio adds the whole-input FCM pre-stage.
 func New(id ID) (*Algorithm, error) {
 	switch id {
-	case SPspeed:
-		return &Algorithm{
-			ID:   SPspeed,
-			Word: wordio.W32,
-			Chunked: transforms.Pipeline{
-				transforms.DiffMS{Word: wordio.W32},
-				transforms.MPLG{Word: wordio.W32},
-			},
-		}, nil
-	case SPratio:
-		return &Algorithm{
-			ID:   SPratio,
-			Word: wordio.W32,
-			Chunked: transforms.Pipeline{
-				transforms.DiffMS{Word: wordio.W32},
-				transforms.Bit{Word: wordio.W32},
-				transforms.RZE{},
-			},
-		}, nil
-	case DPspeed:
-		return &Algorithm{
-			ID:   DPspeed,
-			Word: wordio.W64,
-			Chunked: transforms.Pipeline{
-				transforms.DiffMS{Word: wordio.W64},
-				transforms.MPLG{Word: wordio.W64},
-			},
-		}, nil
+	case SPspeed, SPratio, DPspeed, SPbalance, DPbalance:
+		return fixed(id, byte(id)), nil
 	case DPratio:
-		return &Algorithm{
-			ID:   DPratio,
-			Word: wordio.W64,
-			Pre:  transforms.FCM{},
-			Chunked: transforms.Pipeline{
-				transforms.DiffMS{Word: wordio.W64},
-				transforms.RAZE{},
-				transforms.RARE{},
-			},
-		}, nil
-	case SPbalance:
-		return &Algorithm{
-			ID:   SPbalance,
-			Word: wordio.W32,
-			Chunked: transforms.Pipeline{
-				transforms.DiffMS{Word: wordio.W32},
-				transforms.MPLG{Word: wordio.W32},
-				transforms.RZE{},
-			},
-		}, nil
-	case DPbalance:
-		return &Algorithm{
-			ID:   DPbalance,
-			Word: wordio.W64,
-			Chunked: transforms.Pipeline{
-				transforms.DiffMS{Word: wordio.W64},
-				transforms.MPLG{Word: wordio.W64},
-				transforms.RZE{},
-			},
-		}, nil
+		a := fixed(id, byte(id))
+		a.Pre = transforms.FCM{}
+		return a, nil
 	case Auto32:
-		return &Algorithm{
-			ID:     Auto32,
-			Word:   wordio.W32,
-			Select: selector.New(wordio.W32),
-		}, nil
+		return &Algorithm{ID: Auto32, Word: wordio.W32, Select: selector.New(wordio.W32)}, nil
 	case Auto64:
-		return &Algorithm{
-			ID:     Auto64,
-			Word:   wordio.W64,
-			Select: selector.New(wordio.W64),
-		}, nil
+		return &Algorithm{ID: Auto64, Word: wordio.W64, Select: selector.New(wordio.W64)}, nil
 	}
 	return nil, fmt.Errorf("%w: id %d", ErrUnknownAlgorithm, byte(id))
+}
+
+// fixed builds the algorithm whose chunks all use one scheme-table row.
+func fixed(id ID, scheme byte) *Algorithm {
+	row, ok := selector.Lookup(scheme)
+	if !ok {
+		// Unreachable: callers pass the package's own constants.
+		panic(fmt.Sprintf("core: no scheme-table row %d", scheme))
+	}
+	return &Algorithm{ID: id, Word: row.Word, Chunked: row.Pipeline, codec: row.Codec()}
 }
 
 // ErrNotWindowable reports a NewWindowed request for an algorithm with no
@@ -439,12 +372,9 @@ var ErrNotWindowable = errors.New("core: windowed FCM applies to DPratio and Aut
 func NewWindowed(id ID) (*Algorithm, error) {
 	switch id {
 	case DPratio:
-		return &Algorithm{
-			ID:       DPratio,
-			Word:     wordio.W64,
-			Chunked:  transforms.Pipeline{transforms.FCMW{}},
-			Windowed: true,
-		}, nil
+		a := fixed(DPratio, selector.SchemeFCMRazeRare64)
+		a.Windowed = true
+		return a, nil
 	case Auto64:
 		return &Algorithm{
 			ID:       Auto64,

@@ -28,23 +28,6 @@ func BitRot(b []byte, seed int64, flips int) []int {
 	return offs
 }
 
-// BitRotIn is BitRot restricted to the byte range [lo, hi) of b, for
-// corrupting one structural region (a specific chunk, the parity blocks,
-// the metadata) while leaving the rest pristine. The range is clamped to
-// b; an empty range is a no-op.
-func BitRotIn(b []byte, lo, hi int, seed int64, flips int) []int {
-	lo = max(lo, 0)
-	hi = min(hi, len(b))
-	if lo >= hi {
-		return nil
-	}
-	offs := BitRot(b[lo:hi], seed, flips)
-	for i := range offs {
-		offs[i] += lo
-	}
-	return offs
-}
-
 // TornWrite returns a cut length for a blob of n bytes: a point drawn
 // uniformly from [lo, n) at which a crashed writer stopped. Truncating the
 // blob to the returned length models the torn tail a power loss leaves

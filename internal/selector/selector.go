@@ -101,38 +101,80 @@ func schemeErrf(format string, a ...any) error {
 	return fmt.Errorf("%w: %s", ErrScheme, fmt.Sprintf(format, a...))
 }
 
+// Scheme is one row of the scheme table: everything needed to encode or
+// decode a chunk recorded under one scheme byte. The table is the only
+// place a stage sequence is spelled out; core builds its fixed algorithms
+// from it and the selector routes every chunk through it.
+type Scheme struct {
+	// Name is the short human-readable name (see SchemeName).
+	Name string
+	// Word is the word size the scheme's stages operate on.
+	Word wordio.WordSize
+	// Pipeline is the reference stage-by-stage pipeline.
+	Pipeline transforms.Pipeline
+	// Kernel is the fused single-pass equivalent of Pipeline, nil for the
+	// balance schemes, which have none.
+	Kernel fused.Kernel
+	codec  transforms.Transform
+}
+
+// Codec returns the transform chunks of this scheme encode and decode
+// through: Kernel where one exists (byte-identical to Pipeline, falling
+// back to it internally on misaligned buffers or purego builds), otherwise
+// Pipeline.
+func (r Scheme) Codec() transforms.Transform { return r.codec }
+
+// fusedScheme builds a row from a fused kernel, whose own reference
+// pipeline becomes the row's Pipeline.
+func fusedScheme(name string, word wordio.WordSize, k fused.Kernel) Scheme {
+	return Scheme{Name: name, Word: word, Pipeline: k.Pipeline(), Kernel: k, codec: k}
+}
+
+// pipelineScheme builds a row for a scheme with no fused kernel.
+func pipelineScheme(name string, word wordio.WordSize, p transforms.Pipeline) Scheme {
+	return Scheme{Name: name, Word: word, Pipeline: p, codec: p}
+}
+
+// schemes is the scheme table, indexed by scheme byte. The raw row only
+// names SchemeRaw: raw chunks never reach a codec.
+var schemes = [NumSchemes]Scheme{
+	SchemeRaw:        {Name: "raw"},
+	SchemeMPLG32:     fusedScheme("mplg32", wordio.W32, fused.NewSpeed32()),
+	SchemeBitRZE32:   fusedScheme("bit+rze32", wordio.W32, fused.NewRatio32()),
+	SchemeMPLG64:     fusedScheme("mplg64", wordio.W64, fused.NewSpeed64()),
+	SchemeRazeRare64: fusedScheme("raze+rare64", wordio.W64, fused.NewRatio64()),
+	SchemeMPLGRZE32: pipelineScheme("mplg+rze32", wordio.W32, transforms.Pipeline{
+		transforms.DiffMS{Word: wordio.W32}, transforms.MPLG{Word: wordio.W32}, transforms.RZE{},
+	}),
+	SchemeMPLGRZE64: pipelineScheme("mplg+rze64", wordio.W64, transforms.Pipeline{
+		transforms.DiffMS{Word: wordio.W64}, transforms.MPLG{Word: wordio.W64}, transforms.RZE{},
+	}),
+	SchemeFCMRazeRare64: fusedScheme("fcm+raze+rare64", wordio.W64, fused.NewFCMRatio64()),
+}
+
+// Lookup returns the scheme table row for a non-raw scheme byte; ok is
+// false for SchemeRaw and out-of-range bytes.
+func Lookup(scheme byte) (row Scheme, ok bool) {
+	if scheme == SchemeRaw || scheme >= NumSchemes {
+		return Scheme{}, false
+	}
+	return schemes[scheme], true
+}
+
 // SchemeName returns a short human-readable name for a scheme byte, used by
 // the fpcz -stats breakdown and the fpcd metrics snapshot.
 func SchemeName(scheme byte) string {
-	switch scheme {
-	case SchemeRaw:
-		return "raw"
-	case SchemeMPLG32:
-		return "mplg32"
-	case SchemeBitRZE32:
-		return "bit+rze32"
-	case SchemeMPLG64:
-		return "mplg64"
-	case SchemeRazeRare64:
-		return "raze+rare64"
-	case SchemeMPLGRZE32:
-		return "mplg+rze32"
-	case SchemeMPLGRZE64:
-		return "mplg+rze64"
-	case SchemeFCMRazeRare64:
-		return "fcm+raze+rare64"
+	if scheme >= NumSchemes {
+		return fmt.Sprintf("scheme%d", scheme)
 	}
-	return fmt.Sprintf("scheme%d", scheme)
+	return schemes[scheme].Name
 }
 
 // ValidScheme reports whether a non-raw scheme byte names a pipeline of the
 // given word size.
 func ValidScheme(word wordio.WordSize, scheme byte) bool {
-	if word == wordio.W32 {
-		return scheme == SchemeMPLG32 || scheme == SchemeBitRZE32 || scheme == SchemeMPLGRZE32
-	}
-	return scheme == SchemeMPLG64 || scheme == SchemeRazeRare64 ||
-		scheme == SchemeMPLGRZE64 || scheme == SchemeFCMRazeRare64
+	row, ok := Lookup(scheme)
+	return ok && row.Word == word
 }
 
 // RAZE→RARE cost model calibration (see calibrateRazeRare in the tests):
@@ -168,14 +210,13 @@ type Selector struct {
 	cands     [4]byte // candidate schemes, fastest first; first nc are valid
 	nc        int
 	windowed  bool // NewWindowed: the FCM candidate joins, priced exactly
-	diff      transforms.DiffMS
-	mplg      transforms.MPLG
-	ratioTail transforms.Pipeline             // W32: BIT→RZE, W64: RAZE→RARE (applied to the DIFFMS stream)
-	full      [NumSchemes]transforms.Pipeline // decode pipelines by scheme
-	fspeed    speedKernel                     // fused speed encoder (DIFFMS+MPLG with gate statistics)
-	fratio    *fused.Ratio64                  // windowed: fused DIFFMS64→RAZE→RARE encoder (exact pricing)
-	ffcm      *fused.FCMRatio64               // windowed: fused FCMW64 encoder (exact pricing)
-	fusedK    [NumSchemes]fused.Kernel        // fused decode kernels by scheme (nil where no fusion exists)
+	// diff and mplg are the speed scheme's two stages; every candidate
+	// starts with diff, and the balance candidate extends mplg's output.
+	diff, mplg transforms.Transform
+	// ratioTail is the ratio scheme past its DIFFMS stage (BIT32→RZE or
+	// RAZE→RARE), applied to the materialized DIFFMS stream.
+	ratioTail transforms.Pipeline
+	fspeed    speedKernel // the speed scheme's fused kernel, with gate statistics
 }
 
 // speedKernel is the fused speed-pipeline encoder the hot path runs: a
@@ -191,40 +232,16 @@ type speedKernel interface {
 
 // New returns the selector for one word size.
 func New(word wordio.WordSize) *Selector {
-	s := &Selector{
-		word:      word,
-		marginPct: marginPctFor(word),
-		diff:      transforms.DiffMS{Word: word},
-		mplg:      transforms.MPLG{Word: word},
-	}
-	s.nc = 3
+	s := &Selector{word: word, marginPct: marginPctFor(word), nc: 3}
 	if word == wordio.W32 {
 		s.cands = [4]byte{SchemeMPLG32, SchemeMPLGRZE32, SchemeBitRZE32}
-		s.ratioTail = transforms.Pipeline{transforms.Bit{Word: word}, transforms.RZE{}}
-		s.full[SchemeMPLG32] = transforms.Pipeline{s.diff, s.mplg}
-		s.full[SchemeMPLGRZE32] = transforms.Pipeline{s.diff, s.mplg, transforms.RZE{}}
-		s.full[SchemeBitRZE32] = transforms.Pipeline{s.diff, transforms.Bit{Word: word}, transforms.RZE{}}
-		s.fspeed = fused.NewSpeed32()
 	} else {
 		s.cands = [4]byte{SchemeMPLG64, SchemeMPLGRZE64, SchemeRazeRare64}
-		s.ratioTail = transforms.Pipeline{transforms.RAZE{}, transforms.RARE{}}
-		s.full[SchemeMPLG64] = transforms.Pipeline{s.diff, s.mplg}
-		s.full[SchemeMPLGRZE64] = transforms.Pipeline{s.diff, s.mplg, transforms.RZE{}}
-		s.full[SchemeRazeRare64] = transforms.Pipeline{s.diff, transforms.RAZE{}, transforms.RARE{}}
-		// Decoding routes by the chunk's recorded scheme, so both selectors
-		// decode the windowed FCM scheme even though only the windowed one
-		// emits it.
-		s.full[SchemeFCMRazeRare64] = transforms.Pipeline{transforms.FCMW{}}
-		s.fspeed = fused.NewSpeed64()
 	}
-	for scheme := range s.full {
-		if len(s.full[scheme]) == 0 {
-			continue
-		}
-		if k, ok := fused.Match(s.full[scheme]); ok {
-			s.fusedK[scheme] = k
-		}
-	}
+	speed := schemes[s.cands[0]]
+	s.diff, s.mplg = speed.Pipeline[0], speed.Pipeline[1]
+	s.fspeed = speed.Kernel.(speedKernel)
+	s.ratioTail = schemes[s.cands[2]].Pipeline[1:]
 	return s
 }
 
@@ -243,8 +260,6 @@ func NewWindowed(word wordio.WordSize) *Selector {
 	s.windowed = true
 	s.cands[3] = SchemeFCMRazeRare64
 	s.nc = 4
-	s.fratio = fused.NewRatio64()
-	s.ffcm = fused.NewFCMRatio64()
 	return s
 }
 
@@ -266,10 +281,9 @@ type state struct {
 	alt      []byte   // escape-hatch re-encode scratch
 	ratioEnc []byte   // windowed: the ratio candidate's exact encoding
 	fcmEnc   []byte   // windowed: the FCM candidate's exact encoding
-	ors      []uint32 // byte-swapped 8-word group ORs (BIT pricing)
 	w32      []uint32 // word-copy fallback when views are unavailable
 	w64      []uint64
-	gs       fused.GateStats // gate statistics from the fused speed encoder
+	gs       fused.GateStats // the ratio leg's statistics (see gateStats)
 }
 
 var statePool = sync.Pool{New: func() any { return new(state) }}
@@ -356,43 +370,48 @@ func (st *state) rzeCost(src []byte) int {
 	return bitio.UvarintLen(uint64(len(src))) + transforms.RepeatBitmapLen(bm) + nonzero
 }
 
-// bitSurvivors32 fills st.ors with the byte-swapped 8-word group ORs of
-// diff's full 32-word blocks — the array that determines exactly which
-// bytes BIT32→RZE keeps: BIT lays full blocks out plane-major — output
-// word plane*nb+k holds bit (31-plane) of each of block k's 32 words, so
-// its little-endian byte b covers source words k*32+(3-b)*8 … +8, and a
-// group OR decides for every plane at once whether that output byte
-// survives. Words beyond the last full block and tail bytes are copied
-// verbatim by BIT and survive iff non-zero.
-func (st *state) bitSurvivors32(diff []byte) {
-	dw := st.words32(diff)
-	nb := len(dw) / 32
-	ors := needU32(&st.ors, nb*4)
-	for k := 0; k < nb; k++ {
-		base := k * 32
-		for b := 0; b < 4; b++ {
-			q := base + (3-b)*8
-			ors[k*4+b] = dw[q] | dw[q+1] | dw[q+2] | dw[q+3] |
-				dw[q+4] | dw[q+5] | dw[q+6] | dw[q+7]
+// gateStats fills st.gs from the materialized DIFFMS stream in st.diff,
+// exactly as the fused speed kernel's ForwardStatsInto accumulates it.
+// W32: the byte-swapped 8-word group ORs of the stream's full 32-word
+// blocks — the array that determines exactly which bytes BIT32→RZE keeps:
+// BIT lays full blocks out plane-major — output word plane*nb+k holds bit
+// (31-plane) of each of block k's 32 words, so its little-endian byte b
+// covers source words k*32+(3-b)*8 … +8, and a group OR decides for every
+// plane at once whether that output byte survives — plus the stream's
+// bytes past the last full block, which BIT copies verbatim. W64: the
+// leading-zero histogram the RAZE→RARE model prices.
+func (s *Selector) gateStats(st *state) {
+	gs := &st.gs
+	if s.word == wordio.W32 {
+		dw := st.words32(st.diff)
+		nb := len(dw) / 32
+		ors := needU32(&gs.Ors, nb*4)
+		for k := 0; k < nb; k++ {
+			base := k * 32
+			for b := 0; b < 4; b++ {
+				q := base + (3-b)*8
+				ors[k*4+b] = dw[q] | dw[q+1] | dw[q+2] | dw[q+3] |
+					dw[q+4] | dw[q+5] | dw[q+6] | dw[q+7]
+			}
 		}
+		gs.Words = len(dw)
+		gs.Tail = append(gs.Tail[:0], st.diff[nb*128:]...)
+		return
+	}
+	dw := st.words64(st.diff)
+	gs.Words = len(dw)
+	gs.Hist = [65]int{}
+	for _, v := range dw {
+		gs.Hist[wordio.Clz64(v)]++
 	}
 }
 
-// bitRZECost32 returns the exact size of BIT32→RZE over the DIFFMS stream
-// without running the transpose: the group ORs from bitSurvivors32 give
-// both RZE's surviving-byte count and its exact zero bitmap.
-func (st *state) bitRZECost32(diff []byte) int {
-	st.bitSurvivors32(diff)
-	nb := len(diff) / 4 / 32
-	return st.bitRZECost32From(st.ors[:nb*4], diff[nb*128:], len(diff))
-}
-
-// bitRZECost32From is bitRZECost32 over pre-computed inputs: the
-// byte-swapped group ORs of the DIFFMS stream's full 32-word blocks
-// (bitSurvivors32's layout), the stream's bytes past the last full block,
-// and its total length. The fused speed kernel hands these straight to
-// the gate, so pricing the ratio candidate costs no pass over the stream.
-func (st *state) bitRZECost32From(ors []uint32, tail []byte, diffLen int) int {
+// bitRZECost32 returns the exact size of BIT32→RZE over a DIFFMS stream of
+// diffLen bytes without running the transpose: the group ORs and tail in
+// st.gs (see gateStats) give both RZE's surviving-byte count and its exact
+// zero bitmap.
+func (st *state) bitRZECost32(diffLen int) int {
+	ors, tail := st.gs.Ors, st.gs.Tail
 	nonzero := 0
 	for _, or := range ors {
 		nonzero += bits.OnesCount32(or)
@@ -480,32 +499,29 @@ func razeRareCost64(hist *[65]int, n, chunkLen int) int {
 func (s *Selector) analyze(st *state, chunk []byte) (preds [4]int, choice int) {
 	st.diff = s.diff.ForwardInto(st.diff[:0], chunk)
 	st.mplg = s.mplg.ForwardInto(st.mplg[:0], st.diff)
+	s.gateStats(st)
 	return s.price(st, chunk)
 }
 
-// price runs the per-candidate pricing over an already-computed st.diff /
-// st.mplg pair (see analyze). The windowed selector prices its two ratio
-// candidates exactly, by encoding them through the fused kernels into
-// pooled scratch (the winner's bytes are then appended, not recomputed);
-// the whole-input selectors keep the calibrated RAZE→RARE model.
+// price runs the per-candidate pricing over an already-computed st.diff,
+// st.mplg and st.gs (see analyze). The windowed selector prices its two
+// ratio candidates exactly, by encoding them through the fused kernels
+// into pooled scratch (the winner's bytes are then appended, not
+// recomputed); the whole-input selectors keep the calibrated RAZE→RARE
+// model.
 func (s *Selector) price(st *state, chunk []byte) (preds [4]int, choice int) {
 	preds[0] = len(st.mplg)        // speed: exact, already encoded
 	preds[1] = st.rzeCost(st.mplg) // balance: exact via RZE's own bitmap machinery
 	switch {
 	case s.word == wordio.W32:
-		preds[2] = st.bitRZECost32(st.diff)
+		preds[2] = st.bitRZECost32(len(chunk))
 	case s.windowed:
-		st.ratioEnc = s.fratio.ForwardInto(st.ratioEnc[:0], chunk)
+		st.ratioEnc = schemes[s.cands[2]].Kernel.ForwardInto(st.ratioEnc[:0], chunk)
 		preds[2] = len(st.ratioEnc)
-		st.fcmEnc = s.ffcm.ForwardInto(st.fcmEnc[:0], chunk)
+		st.fcmEnc = schemes[s.cands[3]].Kernel.ForwardInto(st.fcmEnc[:0], chunk)
 		preds[3] = len(st.fcmEnc)
 	default:
-		dw := st.words64(st.diff)
-		var hist [65]int
-		for _, v := range dw {
-			hist[wordio.Clz64(v)]++
-		}
-		preds[2] = razeRareCost64(&hist, len(dw), len(chunk))
+		preds[2] = razeRareCost64(&st.gs.Hist, st.gs.Words, len(chunk))
 	}
 	best := preds[0]
 	for _, p := range preds[1:s.nc] {
@@ -569,12 +585,12 @@ func (s *Selector) Predict(chunk []byte) ([]Prediction, int) {
 // guaranteed to choose the speed candidate. The balance candidate is
 // bounded from below — an RZE tail keeps every non-zero byte of its input,
 // so uvarint(len) + non-zero count elides only the (non-negative)
-// compressed bitmap — while the ratio leg is priced with the very same
-// expression price uses (exact for BIT32→RZE, the calibrated model for
-// RAZE→RARE). A true return therefore never changes the selection relative
-// to full pricing; a false return merely falls back to it. On homogeneous
-// data the gate passes for nearly every chunk, keeping auto mode near the
-// speed pipeline's throughput.
+// compressed bitmap — while the ratio leg is priced from st.gs with the
+// very same expression price uses (exact for BIT32→RZE, the calibrated
+// model for RAZE→RARE). A true return therefore never changes the
+// selection relative to full pricing; a false return merely falls back to
+// it. On homogeneous data the gate passes for nearly every chunk, keeping
+// auto mode near the speed pipeline's throughput.
 func (s *Selector) speedWins(st *state, chunk, mplgEnc []byte) bool {
 	thresh := len(mplgEnc) - len(chunk)*s.marginPct/100
 	if thresh <= 0 {
@@ -594,41 +610,9 @@ func (s *Selector) speedWins(st *state, chunk, mplgEnc []byte) bool {
 	if s.word == wordio.W32 {
 		// Ratio (BIT→RZE): the exact price — the transpose-tile bitmap
 		// build makes it cheap enough to run on every chunk.
-		return st.bitRZECost32(st.diff) >= thresh
+		return st.bitRZECost32(len(chunk)) >= thresh
 	}
-	// Ratio (RAZE→RARE): the same cheap model price uses, so the gate
-	// decision matches full pricing exactly.
-	dw := st.words64(st.diff)
-	var hist [65]int
-	for _, v := range dw {
-		hist[wordio.Clz64(v)]++
-	}
-	return razeRareCost64(&hist, len(dw), len(chunk)) >= thresh
-}
-
-// speedWinsStats is speedWins over the fused kernel's gate statistics:
-// the same three prices, with the ratio leg computed from the group ORs /
-// leading-zero histogram the fused pass accumulated instead of from a
-// materialized DIFFMS stream. Like speedWins, a true return never changes
-// the selection relative to full pricing.
-func (s *Selector) speedWinsStats(st *state, chunk, mplgEnc []byte) bool {
-	thresh := len(mplgEnc) - len(chunk)*s.marginPct/100
-	if thresh <= 0 {
-		return true // no candidate can beat speed by more than the margin
-	}
-	if s.windowed && len(mplgEnc) >= len(chunk)*7/8 {
-		// See speedWins: no cheap bound for the FCM candidate.
-		return false
-	}
-	// Balance (MPLG→RZE): survivors of the MPLG encoding.
-	if bitio.UvarintLen(uint64(len(mplgEnc)))+nonzeroCount(mplgEnc) < thresh {
-		return false
-	}
-	if s.word == wordio.W32 {
-		// Ratio (BIT→RZE): the exact price from the accumulated group ORs.
-		return st.bitRZECost32From(st.gs.Ors, st.gs.Tail, len(chunk)) >= thresh
-	}
-	// Ratio (RAZE→RARE): the model over the accumulated histogram.
+	// Ratio (RAZE→RARE): the same cheap model price uses.
 	return razeRareCost64(&st.gs.Hist, st.gs.Words, len(chunk)) >= thresh
 }
 
@@ -648,25 +632,24 @@ func (s *Selector) ForwardSchemeInto(dst, chunk []byte) ([]byte, byte) {
 	// pass over the chunk, accumulating the gate's statistics as it goes,
 	// so no DIFFMS stream is materialized at all on this path; when fusion
 	// is unavailable (purego, misaligned chunk) the stage-by-stage path
-	// prices the gate from the materialized stream as before.
+	// derives the same statistics from the materialized stream.
 	start := len(dst)
-	if ndst, ok := s.fspeed.ForwardStatsInto(dst, chunk, &st.gs); ok {
+	ndst, fusedOK := s.fspeed.ForwardStatsInto(dst, chunk, &st.gs)
+	if fusedOK {
 		dst = ndst
-		if s.speedWinsStats(st, chunk, dst[start:]) {
-			schemeCounts[s.cands[0]].Add(1)
-			return dst, s.cands[0]
-		}
-		// A slow candidate might win (rare): materialize the DIFFMS stream
-		// after all — the exact pricing and the slow candidates' encoders
-		// consume it below.
-		st.diff = s.diff.ForwardInto(st.diff[:0], chunk)
 	} else {
 		st.diff = s.diff.ForwardInto(st.diff[:0], chunk)
 		dst = s.mplg.ForwardInto(dst, st.diff)
-		if s.speedWins(st, chunk, dst[start:]) {
-			schemeCounts[s.cands[0]].Add(1)
-			return dst, s.cands[0]
-		}
+		s.gateStats(st)
+	}
+	if s.speedWins(st, chunk, dst[start:]) {
+		schemeCounts[s.cands[0]].Add(1)
+		return dst, s.cands[0]
+	}
+	if fusedOK {
+		// A slow candidate might win (rare): materialize the DIFFMS stream
+		// after all — the slow candidates' encoders consume it below.
+		st.diff = s.diff.ForwardInto(st.diff[:0], chunk)
 	}
 
 	// A slow candidate might win: pull the tentative MPLG encoding out of
@@ -715,10 +698,7 @@ func (s *Selector) InverseSchemeInto(dst, enc []byte, scheme byte, maxDecoded in
 	if !ValidScheme(s.word, scheme) {
 		return nil, schemeErrf("scheme %d (%s) in a %s container", scheme, SchemeName(scheme), s.word)
 	}
-	if k := s.fusedK[scheme]; k != nil {
-		return k.InverseInto(dst, enc, maxDecoded)
-	}
-	return s.full[scheme].InverseInto(dst, enc, maxDecoded)
+	return schemes[scheme].codec.InverseInto(dst, enc, maxDecoded)
 }
 
 // Forward implements container.Codec: the winning candidate's encoding,

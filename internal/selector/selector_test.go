@@ -61,7 +61,7 @@ func TestPredictionsExact(t *testing.T) {
 					if !tc.double && i == 2 {
 						continue // checked below as exact too
 					}
-					actual := len(s.full[p.Scheme].Forward(chunk))
+					actual := len(schemes[p.Scheme].Pipeline.ForwardInto(nil, chunk))
 					exact := i < 2 || word == wordio.W32
 					if exact && p.Predicted != actual {
 						t.Fatalf("chunk %d %s: predicted %d, actual %d",
@@ -70,7 +70,7 @@ func TestPredictionsExact(t *testing.T) {
 				}
 				if !tc.double {
 					p := preds[2]
-					if actual := len(s.full[p.Scheme].Forward(chunk)); p.Predicted != actual {
+					if actual := len(schemes[p.Scheme].Pipeline.ForwardInto(nil, chunk)); p.Predicted != actual {
 						t.Fatalf("chunk %d %s: predicted %d, actual %d",
 							ci, SchemeName(p.Scheme), p.Predicted, actual)
 					}
@@ -85,11 +85,11 @@ func TestPredictionsExact(t *testing.T) {
 // every corpus chunk (the escape hatch handles the residual error).
 func TestCalibrateRazeRare(t *testing.T) {
 	s := New(wordio.W64)
-	ratio := s.full[SchemeRazeRare64]
+	ratio := schemes[SchemeRazeRare64].Pipeline
 	for ci, chunk := range chunks(corpus(true)) {
 		preds, _ := s.Predict(chunk)
 		pred := preds[2].Predicted
-		actual := len(ratio.Forward(chunk))
+		actual := len(ratio.ForwardInto(nil, chunk))
 		if pred < actual*3/4 || pred > actual*3/2 {
 			t.Errorf("chunk %d: raze+rare predicted %d vs actual %d (outside [0.75, 1.5]x)",
 				ci, pred, actual)
@@ -118,7 +118,7 @@ func TestForwardSchemeRoundtrip(t *testing.T) {
 				if !ValidScheme(word, scheme) {
 					t.Fatalf("chunk %d: scheme %d invalid for %v", ci, scheme, word)
 				}
-				if want := s.full[scheme].Forward(chunk); !bytes.Equal(enc, want) {
+				if want := schemes[scheme].Pipeline.ForwardInto(nil, chunk); !bytes.Equal(enc, want) {
 					t.Fatalf("chunk %d: scheme %s encoding differs from the pipeline's own output", ci, SchemeName(scheme))
 				}
 				dec, err := s.InverseSchemeInto(nil, enc, scheme, len(chunk))

@@ -40,18 +40,6 @@ func leadZeros(words []uint64) []int {
 	return lead
 }
 
-// leadCommon is RARE's criterion: leading bits shared with the prior word
-// (the first word is compared against zero).
-func leadCommon(words []uint64) []int {
-	lead := make([]int, len(words))
-	prev := uint64(0)
-	for i, v := range words {
-		lead[i] = wordio.Clz64(v ^ prev)
-		prev = v
-	}
-	return lead
-}
-
 // computeLead fills lead (length n) with each word's eliminable-leading-bit
 // count, reading the words straight out of src. common selects RARE's
 // shared-with-predecessor criterion over RAZE's leading-zeros one.
@@ -449,22 +437,9 @@ type RAZE struct{}
 // Name implements Transform.
 func (RAZE) Name() string { return "RAZE" }
 
-// Forward implements Transform.
-func (RAZE) Forward(src []byte) []byte { return adaptiveForwardInto(nil, src, false) }
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (RAZE) ForwardInto(dst, src []byte) []byte { return adaptiveForwardInto(dst, src, false) }
-
-// Inverse implements Transform.
-func (RAZE) Inverse(enc []byte) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, false, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (RAZE) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, false, maxDecoded)
-}
 
 // InverseInto implements Transform (see the package comment for the dst
 // ownership contract).
@@ -481,22 +456,9 @@ type RARE struct{}
 // Name implements Transform.
 func (RARE) Name() string { return "RARE" }
 
-// Forward implements Transform.
-func (RARE) Forward(src []byte) []byte { return adaptiveForwardInto(nil, src, true) }
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (RARE) ForwardInto(dst, src []byte) []byte { return adaptiveForwardInto(dst, src, true) }
-
-// Inverse implements Transform.
-func (RARE) Inverse(enc []byte) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, true, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (RARE) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, true, maxDecoded)
-}
 
 // InverseInto implements Transform (see the package comment for the dst
 // ownership contract).

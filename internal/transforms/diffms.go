@@ -36,11 +36,6 @@ func (d DiffMS) Name() string {
 	return "DIFFMS64"
 }
 
-// Forward implements Transform.
-func (d DiffMS) Forward(src []byte) []byte {
-	return d.ForwardInto(nil, src)
-}
-
 // diffMSForward32 is the fused difference + zigzag kernel: the forward
 // difference has no loop-carried dependency beyond the block boundary, so
 // a 4-wide unroll keeps the subtract/shift/xor chains independent.
@@ -141,18 +136,6 @@ func (d DiffMS) forwardRef64(out, src []byte, n int) {
 	copy(out[n*8:], src[n*8:])
 }
 
-// InverseLimit implements Transform. DIFFMS is size-preserving, so the
-// budget bounds the encoded length itself.
-func (d DiffMS) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return d.InverseInto(nil, enc, maxDecoded)
-}
-
-// Inverse implements Transform. Decoding is a prefix sum over the
-// un-zigzagged differences.
-func (d DiffMS) Inverse(enc []byte) ([]byte, error) {
-	return d.InverseInto(nil, enc, NoLimit)
-}
-
 // diffMSInverse32 is the prefix-sum kernel. The sum is loop-carried, but
 // un-zigzagging the next block while the adds retire still overlaps work.
 func diffMSInverse32(out, enc []uint32) {
@@ -204,7 +187,9 @@ func diffMSInverse64(out, enc []uint64) {
 }
 
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract).
+// ownership contract). Decoding is a prefix sum over the un-zigzagged
+// differences. DIFFMS is size-preserving, so the budget bounds the encoded
+// length itself.
 func (d DiffMS) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if maxDecoded >= 0 && len(enc) > maxDecoded {
 		return nil, corruptf("DIFFMS: %d bytes exceed decode budget %d", len(enc), maxDecoded)

@@ -78,10 +78,10 @@ func (f FCM) Name() string {
 	return "FCM64"
 }
 
-// EncodedCap reports the largest Forward-output size for a decoded input of
-// n bytes (fixed header plus doubled word arrays plus the verbatim tail).
-// Decoders that bound the final decoded size use it to scale the budget for
-// the intermediate FCM stream.
+// EncodedCap reports the largest ForwardInto output size for a decoded
+// input of n bytes (fixed header plus doubled word arrays plus the verbatim
+// tail). Decoders that bound the final decoded size use it to scale the
+// budget for the intermediate FCM stream.
 func (FCM) EncodedCap(n int) int { return fcmHeaderLen + 2*n }
 
 // fcmHash hashes the three words preceding position i (missing ones are 0).
@@ -189,11 +189,6 @@ func radixSortPairs(pairs, tmp []fcmPair) {
 	if &src[0] != &pairs[0] {
 		copy(pairs, src)
 	}
-}
-
-// Forward implements Transform.
-func (f FCM) Forward(src []byte) []byte {
-	return f.ForwardInto(nil, src)
 }
 
 // ForwardInto implements Transform (see the package comment for the dst
@@ -372,22 +367,13 @@ func (f FCM) forwardTable(dst, src []byte) []byte {
 	return dst
 }
 
-// Inverse implements Transform. FCM runs over the whole input (no chunk
-// cap applies), but its decoded length can never exceed its encoded
-// length, so allocation stays intrinsically bounded by the input size.
-func (f FCM) Inverse(enc []byte) ([]byte, error) {
-	return f.InverseInto(nil, enc, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (f FCM) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return f.InverseInto(nil, enc, maxDecoded)
-}
-
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract). The sequential path decodes straight from enc into
-// dst with no intermediate word slices; the parallel path needs mutable
-// value/distance arrays, which come from a pool.
+// ownership contract). FCM runs over the whole input (no chunk cap
+// applies), but its decoded length can never exceed its encoded length, so
+// allocation stays intrinsically bounded by the input size. The sequential
+// path decodes straight from enc into dst with no intermediate word slices;
+// the parallel path needs mutable value/distance arrays, which come from a
+// pool.
 func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if len(enc) < fcmHeaderLen {
 		return nil, corruptf("FCM: missing length prefix")

@@ -37,9 +37,6 @@ var fcmwRatio = Pipeline{DiffMS{Word: wordio.W64}, RAZE{}, RARE{}}
 // Name implements Transform.
 func (FCMW) Name() string { return "FCMW64" }
 
-// Forward implements Transform.
-func (t FCMW) Forward(src []byte) []byte { return t.ForwardInto(nil, src) }
-
 // ForwardInto implements Transform.
 func (t FCMW) ForwardInto(dst, src []byte) []byte {
 	fp := getBuf()
@@ -54,14 +51,6 @@ func (t FCMW) ForwardInto(dst, src []byte) []byte {
 	dst = bitio.AppendUvarint(dst, uint64(len(encA)))
 	dst = append(dst, encA...)
 	return fcmwRatio.ForwardInto(dst, stream[split:])
-}
-
-// Inverse implements Transform.
-func (t FCMW) Inverse(enc []byte) ([]byte, error) { return t.InverseInto(nil, enc, NoLimit) }
-
-// InverseLimit implements Transform.
-func (t FCMW) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return t.InverseInto(nil, enc, maxDecoded)
 }
 
 // InverseInto implements Transform. Each segment decodes under the

@@ -4,8 +4,11 @@
 //	SPspeed: DIFFMS32 -> MPLG32   (Speed32)
 //	DPspeed: DIFFMS64 -> MPLG64   (Speed64)
 //	SPratio: DIFFMS32 -> BIT32 -> RZE   (Ratio32)
-//	windowed DPratio: DIFFMS64 -> RAZE -> RARE   (Ratio64)
-//	windowed DPratio with FCM: FCM(table) -> DIFFMS64 -> RAZE -> RARE   (FCMRatio64)
+//	DPratio after its whole-input FCM: DIFFMS64 -> RAZE -> RARE   (Ratio64)
+//	windowed DPratio: FCM(table) -> DIFFMS64 -> RAZE -> RARE   (FCMRatio64)
+//
+// The scheme table in internal/selector pairs each kernel with its scheme
+// byte; core and the selector route chunks through that table.
 //
 // The stage-by-stage transforms.Pipeline makes a full pass over the chunk
 // per stage, ping-ponging intermediates through pooled buffers: SPspeed
@@ -50,86 +53,20 @@ import (
 	"sync"
 
 	"fpcompress/internal/transforms"
-	"fpcompress/internal/wordio"
 )
 
-// Kernel is one fused single-pass pipeline. Implementations are safe for
-// concurrent use (all per-call state is pooled or stack-resident).
+// Kernel is one fused single-pass pipeline: a transforms.Transform whose
+// Name identifies the fusion (e.g. "FUSED(DIFFMS32+MPLG32)"), whose
+// ForwardInto is byte-identical to the unfused pipeline's, and whose
+// InverseInto follows the pipeline budget rules (see the package comment).
+// Implementations are safe for concurrent use (all per-call state is
+// pooled or stack-resident).
 type Kernel interface {
-	// Name identifies the fusion, e.g. "FUSED(DIFFMS32+MPLG32)".
-	Name() string
-	// ForwardInto appends the encoding of src to dst and returns the
-	// extended slice; byte-identical to the unfused pipeline's ForwardInto.
-	ForwardInto(dst, src []byte) []byte
-	// InverseInto appends the decoded bytes to dst under the pipeline
-	// budget rules (see the package comment) and returns the extended
-	// slice. On error the returned slice is nil.
-	InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error)
+	transforms.Transform
 	// Pipeline returns the equivalent stage-by-stage pipeline (the
 	// reference/fallback path).
 	Pipeline() transforms.Pipeline
 }
-
-// Match returns the fused kernel equivalent to p, if the stage sequence
-// (with default stage parameters) is a known fusion. The returned kernel
-// is a shared immutable instance.
-func Match(p transforms.Pipeline) (Kernel, bool) {
-	switch len(p) {
-	case 2:
-		d, ok := p[0].(transforms.DiffMS)
-		if !ok {
-			return nil, false
-		}
-		m, ok := p[1].(transforms.MPLG)
-		if !ok || m.Subchunk != 0 || m.Word != d.Word {
-			return nil, false
-		}
-		if d.Word == wordio.W32 {
-			return sharedSpeed32, true
-		}
-		return sharedSpeed64, true
-	case 3:
-		if d, ok := p[0].(transforms.DiffMS); ok && d.Word == wordio.W64 {
-			if _, ok := p[1].(transforms.RAZE); !ok {
-				return nil, false
-			}
-			if _, ok := p[2].(transforms.RARE); !ok {
-				return nil, false
-			}
-			return sharedRatio64, true
-		}
-		d, ok := p[0].(transforms.DiffMS)
-		if !ok || d.Word != wordio.W32 {
-			return nil, false
-		}
-		b, ok := p[1].(transforms.Bit)
-		if !ok || b.Word != wordio.W32 {
-			return nil, false
-		}
-		z, ok := p[2].(transforms.RZE)
-		if !ok || z.Granularity > 1 {
-			return nil, false
-		}
-		return sharedRatio32, true
-	case 1:
-		// FCMW64 is itself a composite (FCM table encoder + two segmented
-		// DIFFMS64→RAZE→RARE chains); the kernel fuses both segments.
-		if _, ok := p[0].(transforms.FCMW); ok {
-			return sharedFCMRatio64, true
-		}
-	}
-	return nil, false
-}
-
-// Shared immutable kernel instances (the kernels hold only their reference
-// pipelines, so one instance serves every caller).
-var (
-	sharedSpeed32    = NewSpeed32()
-	sharedSpeed64    = NewSpeed64()
-	sharedRatio32    = NewRatio32()
-	sharedRatio64    = NewRatio64()
-	sharedFCMRatio64 = NewFCMRatio64()
-)
 
 // mplgSubchunkWords32/64 is the paper's 512-byte MPLG subchunk in words.
 const (

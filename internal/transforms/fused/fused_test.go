@@ -192,45 +192,6 @@ func TestFusedBudgets(t *testing.T) {
 	}
 }
 
-// TestFusedMatch: Match must map exactly the fused pipelines to kernels
-// and refuse everything else.
-func TestFusedMatch(t *testing.T) {
-	d32 := transforms.DiffMS{Word: wordio.W32}
-	d64 := transforms.DiffMS{Word: wordio.W64}
-	cases := []struct {
-		p    transforms.Pipeline
-		want string
-	}{
-		{transforms.Pipeline{d32, transforms.MPLG{Word: wordio.W32}}, "FUSED(DIFFMS32+MPLG32)"},
-		{transforms.Pipeline{d64, transforms.MPLG{Word: wordio.W64}}, "FUSED(DIFFMS64+MPLG64)"},
-		{transforms.Pipeline{d32, transforms.Bit{Word: wordio.W32}, transforms.RZE{}}, "FUSED(DIFFMS32+BIT32+RZE)"},
-		{transforms.Pipeline{d32, transforms.Bit{Word: wordio.W32}, transforms.RZE{Granularity: 1}}, "FUSED(DIFFMS32+BIT32+RZE)"},
-		{transforms.Pipeline{d32, transforms.MPLG{Word: wordio.W64}}, ""},                // word mismatch
-		{transforms.Pipeline{d32, transforms.MPLG{Word: wordio.W32, Subchunk: 256}}, ""}, // non-default subchunk
-		{transforms.Pipeline{d64, transforms.RAZE{}, transforms.RARE{}}, "FUSED(DIFFMS64+RAZE+RARE)"},
-		{transforms.Pipeline{transforms.FCMW{}}, "FUSED(FCMW64)"},
-		{transforms.Pipeline{d32, transforms.MPLG{Word: wordio.W32}, transforms.RZE{}}, ""},               // balance: not fused
-		{transforms.Pipeline{transforms.FCM{}, d64, transforms.RAZE{}, transforms.RARE{}}, ""},            // whole-input FCM stage chain: not fused
-		{transforms.Pipeline{transforms.FCM{Table: true}, d64, transforms.RAZE{}, transforms.RARE{}}, ""}, // unsegmented FCM chain: FCMW64 replaced it
-		{transforms.Pipeline{d32, transforms.RAZE{}, transforms.RARE{}}, ""},                              // 32-bit diff: not fused
-		{transforms.Pipeline{d32, transforms.Bit{Word: wordio.W32}, transforms.RZE{Granularity: 4}}, ""},  // non-byte RZE
-		{transforms.Pipeline{d32}, ""},
-		{transforms.Pipeline{}, ""},
-	}
-	for i, c := range cases {
-		k, ok := Match(c.p)
-		if c.want == "" {
-			if ok {
-				t.Fatalf("case %d: pipeline %v unexpectedly matched %s", i, c.p.Names(), k.Name())
-			}
-			continue
-		}
-		if !ok || k.Name() != c.want {
-			t.Fatalf("case %d: pipeline %v matched %v, want %s", i, c.p.Names(), k, c.want)
-		}
-	}
-}
-
 // TestFusedGateStats: the statistics accumulated during the fused speed
 // pass must equal the ones the selector would derive from a materialized
 // DIFFMS stream — the byte-swapped group ORs and post-block tail for W32,

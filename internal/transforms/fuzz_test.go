@@ -22,30 +22,30 @@ func fuzzInverse(f *testing.F, trs ...Transform) {
 	f.Add([]byte{0x80})
 	f.Add(bitio.AppendUvarint(nil, 1<<40))
 	for _, tr := range trs {
-		f.Add(tr.Forward(smoothFloats32(300, 7)))
-		f.Add(tr.Forward(smoothFloats64(150, 8)))
-		f.Add(tr.Forward(make([]byte, 333)))
-		f.Add(tr.Forward([]byte{1}))
+		f.Add(tr.ForwardInto(nil, smoothFloats32(300, 7)))
+		f.Add(tr.ForwardInto(nil, smoothFloats64(150, 8)))
+		f.Add(tr.ForwardInto(nil, make([]byte, 333)))
+		f.Add(tr.ForwardInto(nil, []byte{1}))
 	}
 	f.Fuzz(func(t *testing.T, enc []byte) {
 		for _, tr := range trs {
-			dec, err := tr.InverseLimit(enc, fuzzBudget)
+			dec, err := tr.InverseInto(nil, enc, fuzzBudget)
 			if err != nil {
 				continue
 			}
 			if len(dec) > fuzzBudget {
 				t.Fatalf("%s: decoded %d bytes past budget %d", tr.Name(), len(dec), fuzzBudget)
 			}
-			// The append-into form must agree exactly with the allocating
-			// form, preserve dst's existing bytes, and tolerate a dirty
+			// Appending to a non-empty dst must agree exactly with a nil
+			// dst, preserve dst's existing bytes, and tolerate a dirty
 			// reused buffer (decoders may not assume zeroed spare capacity).
 			dirty := bytes.Repeat([]byte{0xEE}, 16+len(dec))[:16]
 			got, err := tr.InverseInto(dirty, enc, fuzzBudget)
 			if err != nil {
-				t.Fatalf("%s: InverseInto failed where InverseLimit succeeded: %v", tr.Name(), err)
+				t.Fatalf("%s: InverseInto into a dirty dst failed where a nil dst succeeded: %v", tr.Name(), err)
 			}
 			if len(got) != 16+len(dec) || !bytes.Equal(got[16:], dec) {
-				t.Fatalf("%s: InverseInto diverged from InverseLimit", tr.Name())
+				t.Fatalf("%s: InverseInto into a dirty dst diverged from a nil dst", tr.Name())
 			}
 			for _, b := range got[:16] {
 				if b != 0xEE {
@@ -53,13 +53,13 @@ func fuzzInverse(f *testing.F, trs ...Transform) {
 				}
 			}
 			// Accepted input must be re-encodable to something that decodes
-			// back to the same bytes (Forward∘Inverse is idempotent even when
+			// back to the same bytes (the round trip is idempotent even when
 			// enc itself was not canonical).
 			fwd := tr.ForwardInto(got[:16], dec)
-			if !bytes.Equal(fwd[16:], tr.Forward(dec)) {
-				t.Fatalf("%s: ForwardInto diverged from Forward", tr.Name())
+			if !bytes.Equal(fwd[16:], tr.ForwardInto(nil, dec)) {
+				t.Fatalf("%s: ForwardInto into a non-empty dst diverged from a nil dst", tr.Name())
 			}
-			re, err := tr.Inverse(fwd[16:])
+			re, err := tr.InverseInto(nil, fwd[16:], NoLimit)
 			if err != nil || !bytes.Equal(re, dec) {
 				t.Fatalf("%s: re-roundtrip diverged: %v", tr.Name(), err)
 			}
@@ -97,14 +97,14 @@ func FuzzRAREInverse(f *testing.F) {
 
 // FuzzPipelineInverse drives the full DPratio chunk pipeline — the deepest
 // stage stack — over arbitrary bytes with a budget, covering the stage
-// headroom logic in Pipeline.InverseLimit.
+// headroom logic in Pipeline.InverseInto.
 func FuzzPipelineInverse(f *testing.F) {
 	p := Pipeline{DiffMS{Word: wordio.W64}, RAZE{}, RARE{}}
 	f.Add([]byte{})
-	f.Add(p.Forward(smoothFloats64(200, 5)))
-	f.Add(p.Forward(make([]byte, 100)))
+	f.Add(p.ForwardInto(nil, smoothFloats64(200, 5)))
+	f.Add(p.ForwardInto(nil, make([]byte, 100)))
 	f.Fuzz(func(t *testing.T, enc []byte) {
-		dec, err := p.InverseLimit(enc, fuzzBudget)
+		dec, err := p.InverseInto(nil, enc, fuzzBudget)
 		if err != nil {
 			return
 		}

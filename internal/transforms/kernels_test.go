@@ -135,9 +135,9 @@ func TestKernelInverseOffsets(t *testing.T) {
 }
 
 // TestKernelForwardAppend: ForwardInto with a non-empty dst must preserve
-// the prefix and append exactly the bytes a fresh Forward would produce,
-// for every append offset (the packers compute bit positions relative to
-// the region start, not the buffer start).
+// the prefix and append exactly the bytes a nil-dst ForwardInto would
+// produce, for every append offset (the packers compute bit positions
+// relative to the region start, not the buffer start).
 func TestKernelForwardAppend(t *testing.T) {
 	for _, tr := range kernelTransforms() {
 		t.Run(tr.Name(), func(t *testing.T) {

@@ -72,11 +72,6 @@ func (m MPLG) keepFieldBits() uint {
 	return 7 // keep in 0..64
 }
 
-// Forward implements Transform.
-func (m MPLG) Forward(src []byte) []byte {
-	return m.ForwardInto(nil, src)
-}
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (m MPLG) ForwardInto(dst, src []byte) []byte {
@@ -380,16 +375,6 @@ func (m MPLG) forwardRef(dst, src []byte) []byte {
 		}
 	}
 	return append(w.Bytes(), tail...)
-}
-
-// Inverse implements Transform.
-func (m MPLG) Inverse(enc []byte) ([]byte, error) {
-	return m.InverseInto(nil, enc, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (m MPLG) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return m.InverseInto(nil, enc, maxDecoded)
 }
 
 // InverseInto implements Transform (see the package comment for the dst

@@ -12,9 +12,10 @@
 //     compressed bitmap (rze.go)
 //   - FCM: finite-context-method duplicate-value detection via a sorted
 //     (hash, index) array (fcm.go)
-//   - RAZE: repeated adaptive zero elimination of the top k bits (raze.go)
+//   - RAZE: repeated adaptive zero elimination of the top k bits
+//     (adaptive.go)
 //   - RARE: repeated adaptive repetition elimination of the top k bits
-//     (rare.go)
+//     (adaptive.go)
 //
 // Every transform is exactly invertible. Transforms whose output length
 // differs from their input length are self-describing: the encoded form
@@ -22,7 +23,7 @@
 //
 // # Buffer ownership
 //
-// The hot-path entry points are the append-into methods ForwardInto and
+// The only entry points are the append-into methods ForwardInto and
 // InverseInto: they append their output to a caller-supplied dst (which may
 // be nil) and return the extended slice, exactly like the append builtin.
 // The caller owns dst before and after the call; the transform owns it
@@ -31,8 +32,8 @@
 // capacity runs out), so callers must use the return value and must not
 // retain other aliases of dst across the call. Internal per-call
 // temporaries come from package-level sync.Pools, so a warmed steady state
-// performs no heap allocation beyond what dst growth requires. Forward,
-// Inverse, and InverseLimit are thin wrappers that pass a nil dst.
+// performs no heap allocation beyond what dst growth requires. A nil dst
+// with maxDecoded == NoLimit gives the plain allocating form.
 package transforms
 
 import (
@@ -40,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 )
 
@@ -71,7 +73,7 @@ var ErrCorrupt = errors.New("transforms: corrupt payload")
 // will allocate (64 MiB — far above any supported chunk size), so corrupt
 // length prefixes fail cleanly instead of exhausting memory. Callers that
 // know the expected decoded size (the container engine knows every chunk's)
-// should pass a tighter bound via InverseLimit.
+// should pass a tighter bound as InverseInto's maxDecoded.
 const MaxDecoded = 1 << 26
 
 // NoLimit is the maxDecoded value meaning "no caller-supplied budget";
@@ -154,34 +156,27 @@ func growInts(p *[]int, n int) []int {
 	return s[:n]
 }
 
-// Transform is one reversible stage of a compression pipeline. Forward may
-// return a slice longer or shorter than src; Inverse must reproduce the
-// exact Forward input.
+// Transform is one reversible stage of a compression pipeline. ForwardInto
+// may append more or fewer bytes than src holds; InverseInto must reproduce
+// the exact ForwardInto input.
 //
-// Every Inverse/InverseLimit/InverseInto implementation treats enc as
-// hostile: arbitrary bytes must produce an error (never a panic), and no
-// allocation may exceed the declared-and-validated decoded size.
+// Every InverseInto implementation treats enc as hostile: arbitrary bytes
+// must produce an error (never a panic), and no allocation may exceed the
+// declared-and-validated decoded size.
 type Transform interface {
 	// Name identifies the transform in pipeline listings (e.g. "DIFFMS32").
 	Name() string
-	// Forward encodes one chunk. Equivalent to ForwardInto(nil, src).
-	Forward(src []byte) []byte
 	// ForwardInto appends the encoding of src to dst and returns the
 	// extended slice (append semantics: the result may share dst's backing
 	// array or be a reallocation). dst may be nil; it must not overlap src.
 	// The output never aliases src.
 	ForwardInto(dst, src []byte) []byte
-	// Inverse decodes one chunk encoded by Forward.
-	Inverse(enc []byte) ([]byte, error)
-	// InverseLimit decodes like Inverse but additionally rejects — before
-	// allocating — any encoding whose declared decoded size exceeds
-	// maxDecoded bytes. maxDecoded == NoLimit means no caller bound;
-	// intrinsic caps (MaxDecoded for per-chunk transforms, the encoded
-	// length for FCM) still apply.
-	InverseLimit(enc []byte, maxDecoded int) ([]byte, error)
-	// InverseInto appends the decoded bytes to dst under the same budget
-	// rules as InverseLimit and returns the extended slice. dst may be nil;
-	// it must not overlap enc. On error the returned slice is nil and any
+	// InverseInto appends the decoded bytes to dst and returns the extended
+	// slice, rejecting — before allocating — any encoding whose declared
+	// decoded size exceeds maxDecoded bytes. maxDecoded == NoLimit means no
+	// caller bound; intrinsic caps (MaxDecoded for per-chunk transforms,
+	// the encoded length for FCM) still apply. dst may be nil; it must not
+	// overlap enc. On error the returned slice is nil and any
 	// reallocated copy of dst is discarded, so callers pooling dst should
 	// treat a failed call as having consumed the buffer's contents (the
 	// capacity itself is only lost if the decode outgrew it before
@@ -189,14 +184,9 @@ type Transform interface {
 	InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error)
 }
 
-// Pipeline chains transforms: Forward applies them left to right, Inverse
-// right to left.
+// Pipeline chains transforms: ForwardInto applies them left to right,
+// InverseInto right to left.
 type Pipeline []Transform
-
-// Forward runs every stage in order.
-func (p Pipeline) Forward(src []byte) []byte {
-	return p.ForwardInto(nil, src)
-}
 
 // ForwardInto appends the fully encoded form of src to dst and returns the
 // extended slice. Intermediate stage outputs ping-pong between two pooled
@@ -223,17 +213,6 @@ func (p Pipeline) ForwardInto(dst, src []byte) []byte {
 		cur = *s
 	}
 	return p[n-1].ForwardInto(dst, cur)
-}
-
-// Inverse runs every stage's inverse in reverse order.
-func (p Pipeline) Inverse(enc []byte) ([]byte, error) {
-	return p.InverseInto(nil, enc, NoLimit)
-}
-
-// InverseLimit runs every stage's inverse in reverse order, bounding each
-// stage's decoded allocation by the budget (see InverseInto).
-func (p Pipeline) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return p.InverseInto(nil, enc, maxDecoded)
 }
 
 // InverseInto appends the fully decoded form of enc to dst, bounding each
@@ -295,6 +274,10 @@ func (p Pipeline) inverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	}
 	return out, nil
 }
+
+// Name implements Transform: the stage names joined by "+", e.g.
+// "DIFFMS32+BIT32+RZE", so a pipeline composes like any single stage.
+func (p Pipeline) Name() string { return strings.Join(p.Names(), "+") }
 
 // Names returns the stage names, e.g. ["DIFFMS32","BIT32","RZE"].
 func (p Pipeline) Names() []string {
